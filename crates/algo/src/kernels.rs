@@ -2,7 +2,7 @@
 //!
 //! Factor matrices are stored row-major as one contiguous `Vec<f32>`
 //! (`row r` = `buf[r * f .. (r + 1) * f]`), and every hot loop in the SVD
-//! trainer and the score materializer funnels through the handful of
+//! trainer and the per-user scorer funnels through the handful of
 //! kernels below. They are written as exact-iteration slice loops —
 //! `chunks_exact`, zipped iterators, no bounds checks in the loop body —
 //! which is the shape rustc/LLVM auto-vectorizes without `-ffast-math`.
@@ -12,7 +12,7 @@
 //! eight explicit lanes and folds them in a fixed tree at the end: the
 //! result is deterministic (bit-identical run-over-run for the same
 //! inputs) *and* SIMD-friendly. Every caller — serial SGD, the blocked
-//! parallel trainer, `score`, `score_block` — uses this one `dot`, so
+//! parallel trainer, `score`, the `UserScorer` — uses this one `dot`, so
 //! "same factors ⇒ same score" holds across all code paths.
 
 /// Number of parallel accumulator lanes in [`dot`].
@@ -92,24 +92,6 @@ pub fn sgd_step(p: &mut [f32], q: &mut [f32], err: f32, lr: f32, lambda: f32) {
     }
 }
 
-/// Score one user row against a contiguous block of item rows.
-///
-/// `items` holds `out.len()` rows of length `f` back to back; `out[j]`
-/// receives `dot(user, items[j*f .. (j+1)*f])`. Batching keeps the user
-/// row in registers and streams the item block through cache linearly —
-/// the memory layout the per-pair `score()` path can never achieve.
-///
-/// # Panics
-/// Panics if `items.len() != out.len() * f` or `user.len() != f`.
-#[inline]
-pub fn score_block(user: &[f32], items: &[f32], f: usize, out: &mut [f32]) {
-    assert_eq!(user.len(), f);
-    assert_eq!(items.len(), out.len() * f);
-    for (o, row) in out.iter_mut().zip(items.chunks_exact(f)) {
-        *o = dot(user, row);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,25 +148,5 @@ mod tests {
         // p = 1 + 0.1*0.5*2 = 1.1 ; q = 2 + 0.1*0.5*1 (old p!) = 2.05
         assert!((p[0] - 1.1).abs() < 1e-6);
         assert!((q[0] - 2.05).abs() < 1e-6);
-    }
-
-    #[test]
-    fn score_block_matches_per_row_dot() {
-        let f = 5;
-        let user: Vec<f32> = (0..f).map(|i| i as f32 + 0.5).collect();
-        let items: Vec<f32> = (0..4 * f).map(|i| (i as f32 * 0.3).sin()).collect();
-        let mut out = vec![0.0f32; 4];
-        score_block(&user, &items, f, &mut out);
-        for (j, &o) in out.iter().enumerate() {
-            let row = &items[j * f..(j + 1) * f];
-            assert_eq!(o.to_bits(), dot(&user, row).to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn score_block_rejects_ragged_input() {
-        let mut out = vec![0.0f32; 2];
-        score_block(&[1.0, 2.0], &[1.0, 2.0, 3.0], 2, &mut out);
     }
 }

@@ -10,9 +10,11 @@
 //! * [`itemcf`] / [`usercf`] — neighborhood predictors (Eq. 2),
 //! * [`svd`] — regularized gradient-descent matrix factorization (Eq. 3),
 //! * [`kernels`] — flat-`f32` vectorizable primitives (`dot`, `axpy`,
-//!   `score_block`) shared by the SVD trainer and the score materializer,
+//!   `sgd_step`) shared by the SVD trainer and the per-user scorer,
 //! * [`popularity`] — the non-personalized class of the §II taxonomy
 //!   (damped-mean item ranking; also the cold-start fallback),
+//! * [`scorer`] — [`scorer::UserScorer`], the per-user dense-row scorer
+//!   the online operators and the score materializer run on,
 //! * [`model`] — the [`model::RecModel`] wrapper + [`model::Algorithm`]
 //!   names used in SQL (`USING ItemCosCF`, …),
 //! * [`eval`] — RMSE / MAE hold-out evaluation (an extension; the paper
@@ -29,6 +31,7 @@ pub mod neighborhood;
 pub mod parallel;
 pub mod popularity;
 pub mod ratings;
+pub mod scorer;
 pub mod similarity;
 pub mod svd;
 pub mod topk;
@@ -40,7 +43,8 @@ pub use neighborhood::NeighborhoodParams;
 pub use parallel::effective_threads;
 pub use popularity::PopularityModel;
 pub use ratings::{Csr, Rating, RatingsMatrix};
+pub use scorer::UserScorer;
 pub use similarity::Similarity;
 pub use svd::{SvdModel, SvdParams};
-pub use topk::top_k_by;
+pub use topk::{top_k_by, TopK};
 pub use usercf::UserCfModel;

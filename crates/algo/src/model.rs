@@ -10,6 +10,7 @@ use crate::itemcf::ItemCfModel;
 use crate::neighborhood::NeighborhoodParams;
 use crate::popularity::PopularityModel;
 use crate::ratings::RatingsMatrix;
+use crate::scorer::UserScorer;
 use crate::similarity::Similarity;
 use crate::svd::{SvdModel, SvdParams};
 use crate::usercf::UserCfModel;
@@ -308,35 +309,21 @@ impl RecModel {
         }
     }
 
+    /// A [`UserScorer`] over this model: resolve a user once, then score
+    /// candidate items by dense index (the online operators' hot path).
+    pub fn scorer(&self) -> UserScorer<&RecModel> {
+        UserScorer::new(self)
+    }
+
     /// Batch-score every item dense user `u` has **not** rated, appending
     /// `(item_idx, score)` in ascending item order — the score
     /// materializer's inner loop. No-signal pairs score 0 (Algorithm 1
-    /// line 14), matching `predict(..).unwrap_or(0.0)` per pair. The SVD
-    /// arm runs blocked [`SvdModel::score_block`] kernels; the others
-    /// walk the user's sorted CSR row to skip rated items.
+    /// line 14), matching `predict(..).unwrap_or(0.0)` per pair. Runs on
+    /// one [`UserScorer`].
     pub fn score_unseen_into(&self, u: usize, out: &mut Vec<(usize, f64)>) {
-        if let RecModel::Factors(m) = self {
-            m.score_unseen_into(u, out);
-            return;
-        }
-        let matrix = self.matrix();
-        let (rated, _) = matrix.user_csr().row(u);
-        let mut rated_pos = 0;
-        for i in 0..matrix.n_items() {
-            while rated_pos < rated.len() && (rated[rated_pos] as usize) < i {
-                rated_pos += 1;
-            }
-            if rated_pos < rated.len() && rated[rated_pos] as usize == i {
-                continue;
-            }
-            let score = match self {
-                RecModel::Item(m) => m.predict_dense(u, i).unwrap_or(0.0),
-                RecModel::User(m) => m.predict_dense(u, i).unwrap_or(0.0),
-                RecModel::Factors(_) => unreachable!("handled above"),
-                RecModel::Popular(m) => m.item_score(i),
-            };
-            out.push((i, score));
-        }
+        let mut scorer = self.scorer();
+        scorer.set_user(u);
+        scorer.score_unseen(0..self.matrix().n_items(), out);
     }
 
     /// The `k` best unseen items for dense user `u`, ranked score

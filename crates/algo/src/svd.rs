@@ -281,48 +281,6 @@ impl SvdModel {
         Some(self.dot(u, i))
     }
 
-    /// Batched raw scores: factor dot products of user `u` against the
-    /// contiguous item range `first_item .. first_item + out.len()`.
-    /// No rated-pair substitution — callers that need Algorithm 2
-    /// semantics overlay the user's own ratings afterwards (their CSR
-    /// row is sorted, so the overlay is a linear merge).
-    pub fn score_block(&self, u: usize, first_item: usize, out: &mut [f32]) {
-        let f = self.factors;
-        let lo = first_item * f;
-        let hi = lo + out.len() * f;
-        kernels::score_block(self.user_vector(u), &self.item_factors[lo..hi], f, out);
-    }
-
-    /// Batch-score every item the user has **not** rated, pushing
-    /// `(item_idx, score)` in ascending item order. Items are scored in
-    /// contiguous [`Self::score_block`] chunks and the user's sorted CSR
-    /// row is merged in to skip rated pairs, so ids and ratings resolve
-    /// once per user instead of once per pair. Produces bit-identical
-    /// scores to calling [`Self::predict_indexed`] per item.
-    pub fn score_unseen_into(&self, u: usize, out: &mut Vec<(usize, f64)>) {
-        const BLOCK: usize = 256;
-        let n_items = self.matrix.n_items();
-        let (rated, _) = self.matrix.user_csr().row(u);
-        let mut rated_pos = 0;
-        let mut buf = [0.0f32; BLOCK];
-        let mut first = 0;
-        while first < n_items {
-            let len = BLOCK.min(n_items - first);
-            self.score_block(u, first, &mut buf[..len]);
-            for (j, &s) in buf[..len].iter().enumerate() {
-                let i = first + j;
-                while rated_pos < rated.len() && (rated[rated_pos] as usize) < i {
-                    rated_pos += 1;
-                }
-                if rated_pos < rated.len() && rated[rated_pos] as usize == i {
-                    continue;
-                }
-                out.push((i, f64::from(s)));
-            }
-            first += len;
-        }
-    }
-
     fn dot(&self, u: usize, i: usize) -> f64 {
         f64::from(kernels::dot(self.user_vector(u), self.item_vector(i)))
     }
@@ -839,33 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn score_block_matches_per_pair_dots() {
-        let model = SvdModel::train(
-            dense_block(),
-            SvdParams {
-                factors: 5,
-                epochs: 10,
-                ..Default::default()
-            },
-        );
-        let n_items = model.matrix().n_items();
-        let mut out = vec![0.0f32; n_items];
-        for u in 0..model.matrix().n_users() {
-            model.score_block(u, 0, &mut out);
-            for (i, &s) in out.iter().enumerate() {
-                let expected = kernels::dot(model.user_vector(u), model.item_vector(i));
-                assert_eq!(s.to_bits(), expected.to_bits(), "user {u} item {i}");
-            }
-            // A block starting mid-range scores the same items.
-            let mut tail = vec![0.0f32; n_items - 2];
-            model.score_block(u, 2, &mut tail);
-            for (j, &s) in tail.iter().enumerate() {
-                assert_eq!(s.to_bits(), out[j + 2].to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn score_unseen_matches_per_pair_predictions() {
         let model = SvdModel::train(
             dense_block(),
@@ -876,6 +807,7 @@ mod tests {
             },
         );
         let m = model.matrix().clone();
+        let model = crate::RecModel::Factors(model);
         let mut out = Vec::new();
         for u in 0..m.n_users() {
             out.clear();

@@ -15,64 +15,121 @@ use std::cmp::Ordering;
 ///
 /// Stability: among `cmp`-equal elements, earlier arrivals win the last
 /// slots and keep their input order in the output, matching a stable sort.
-pub fn top_k_by<T, F>(items: impl IntoIterator<Item = T>, k: usize, mut cmp: F) -> Vec<T>
+pub fn top_k_by<T, F>(items: impl IntoIterator<Item = T>, k: usize, cmp: F) -> Vec<T>
 where
     F: FnMut(&T, &T) -> Ordering,
 {
-    if k == 0 {
-        return Vec::new();
+    let mut top = TopK::new(k, cmp);
+    for item in items {
+        top.push(item);
     }
-    // Max-heap of the current best `k` under (cmp, arrival index); the
-    // root is the worst kept element. Carrying the arrival index makes the
-    // order total, which is what gives the stable-sort-equivalent
-    // tie-break: a later arrival that `cmp`-ties the root compares
-    // Greater, so it does not displace it.
-    // `k` is caller-controlled (a SQL `LIMIT` can be u64::MAX); cap the
-    // up-front reservation and let the heap grow to min(k, n) naturally.
-    let mut heap: Vec<(T, usize)> = Vec::with_capacity(k.min(1024));
-    for (seq, item) in items.into_iter().enumerate() {
-        if heap.len() < k {
+    top.into_sorted()
+}
+
+/// The streaming form of [`top_k_by`]: feed elements one at a time with
+/// [`push`](Self::push), which hands back whichever element is *not*
+/// kept, so a caller can account for exactly the retained set (a memory
+/// charge, say) while the input is still arriving.
+pub struct TopK<T, F> {
+    k: usize,
+    cmp: F,
+    /// Max-heap of the current best `k` under (cmp, arrival index); the
+    /// root is the worst kept element. Carrying the arrival index makes
+    /// the order total, which is what gives the stable-sort-equivalent
+    /// tie-break: a later arrival that `cmp`-ties the root compares
+    /// Greater, so it does not displace it.
+    heap: Vec<(T, usize)>,
+    seq: usize,
+}
+
+impl<T, F> TopK<T, F>
+where
+    F: FnMut(&T, &T) -> Ordering,
+{
+    /// An empty selection of the best `k` under `cmp`.
+    pub fn new(k: usize, cmp: F) -> Self {
+        // `k` is caller-controlled (a SQL `LIMIT` can be u64::MAX); cap
+        // the up-front reservation and let the heap grow to min(k, n).
+        TopK {
+            k,
+            cmp,
+            heap: Vec::with_capacity(k.min(1024)),
+            seq: 0,
+        }
+    }
+
+    /// Number of elements currently kept.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// True when nothing is kept.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Offer the next element. Returns the element that falls out of the
+    /// best `k`: `None` while fewer than `k` are kept, otherwise either
+    /// `item` itself (rejected) or the previous worst (displaced).
+    pub fn push(&mut self, item: T) -> Option<T> {
+        let seq = self.seq;
+        self.seq += 1;
+        if self.k == 0 {
+            return Some(item);
+        }
+        let cmp = &mut self.cmp;
+        let heap = &mut self.heap;
+        if heap.len() < self.k {
             heap.push((item, seq));
             let mut child = heap.len() - 1;
             while child > 0 {
                 let parent = (child - 1) / 2;
-                if total(&mut cmp, &heap[child], &heap[parent]) == Ordering::Greater {
+                if total(cmp, &heap[child], &heap[parent]) == Ordering::Greater {
                     heap.swap(child, parent);
                     child = parent;
                 } else {
                     break;
                 }
             }
-        } else {
-            let cand = (item, seq);
-            if total(&mut cmp, &cand, &heap[0]) == Ordering::Less {
-                heap[0] = cand;
-                let mut parent = 0;
-                loop {
-                    let left = 2 * parent + 1;
-                    if left >= heap.len() {
-                        break;
-                    }
-                    let right = left + 1;
-                    let big = if right < heap.len()
-                        && total(&mut cmp, &heap[right], &heap[left]) == Ordering::Greater
-                    {
-                        right
-                    } else {
-                        left
-                    };
-                    if total(&mut cmp, &heap[big], &heap[parent]) == Ordering::Greater {
-                        heap.swap(big, parent);
-                        parent = big;
-                    } else {
-                        break;
-                    }
-                }
+            return None;
+        }
+        let cand = (item, seq);
+        if total(cmp, &cand, &heap[0]) != Ordering::Less {
+            return Some(cand.0);
+        }
+        let out = std::mem::replace(&mut heap[0], cand);
+        let mut parent = 0;
+        loop {
+            let left = 2 * parent + 1;
+            if left >= heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let big = if right < heap.len()
+                && total(cmp, &heap[right], &heap[left]) == Ordering::Greater
+            {
+                right
+            } else {
+                left
+            };
+            if total(cmp, &heap[big], &heap[parent]) == Ordering::Greater {
+                heap.swap(big, parent);
+                parent = big;
+            } else {
+                break;
             }
         }
+        Some(out.0)
     }
-    heap.sort_by(|a, b| total(&mut cmp, a, b));
-    heap.into_iter().map(|(t, _)| t).collect()
+
+    /// The kept elements, best first (stable-sort order).
+    pub fn into_sorted(self) -> Vec<T> {
+        let TopK {
+            mut cmp, mut heap, ..
+        } = self;
+        heap.sort_by(|a, b| total(&mut cmp, a, b));
+        heap.into_iter().map(|(t, _)| t).collect()
+    }
 }
 
 fn total<T, F>(cmp: &mut F, a: &(T, usize), b: &(T, usize)) -> Ordering
@@ -132,6 +189,29 @@ mod tests {
         assert!(top_k_by(empty.iter().copied(), 5, |a, b| a.cmp(b)).is_empty());
         let items = lcg_stream(1, 10, 100);
         assert!(top_k_by(items.iter().copied(), 0, |a, b| a.0.cmp(&b.0)).is_empty());
+    }
+
+    #[test]
+    fn push_hands_back_exactly_the_dropped_elements() {
+        for seed in 0..10u64 {
+            let items = lcg_stream(seed, 120, 9);
+            for k in [0, 1, 5, 200] {
+                let mut top = TopK::new(k, |a: &(u64, usize), b: &(u64, usize)| a.0.cmp(&b.0));
+                let mut dropped = Vec::new();
+                for &item in &items {
+                    dropped.extend(top.push(item));
+                    assert!(top.len() <= k);
+                }
+                let kept = top.into_sorted();
+                assert_eq!(kept, reference(&items, k), "seed {seed}, k {k}");
+                assert_eq!(kept.len() + dropped.len(), items.len());
+                dropped.extend(kept);
+                dropped.sort_unstable();
+                let mut all = items.clone();
+                all.sort_unstable();
+                assert_eq!(dropped, all);
+            }
+        }
     }
 
     #[test]

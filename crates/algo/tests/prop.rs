@@ -7,7 +7,8 @@ use recdb_algo::model::TrainConfig;
 use recdb_algo::neighborhood::{build_item_neighborhood, build_user_neighborhood};
 use recdb_algo::similarity::{co_rated_sums, similarity, Similarity};
 use recdb_algo::{
-    Algorithm, ItemCfModel, NeighborhoodParams, Rating, RatingsMatrix, SvdModel, SvdParams,
+    Algorithm, ItemCfModel, NeighborhoodParams, Rating, RatingsMatrix, RecModel, SvdModel,
+    SvdParams,
 };
 use std::collections::HashMap;
 
@@ -225,6 +226,45 @@ proptest! {
             prop_assert_eq!(av.len(), bv.len());
             for (x, y) in av.iter().zip(bv) {
                 prop_assert_eq!(x.to_bits(), y.to_bits(), "item {} factors diverged", i);
+            }
+        }
+    }
+
+    /// The dense-row scorer reproduces the per-pair merge-walk predictor
+    /// bit for bit for ItemCosCF and ItemPearCF. Ratings span negative
+    /// values, so cosine edges can be negative too, and Pearson's are
+    /// negative whenever two items are anti-correlated; both signs must
+    /// flow through Eq. 2 identically. One scorer is reused across all
+    /// users, so clearing the previous user's row is covered as well.
+    #[test]
+    fn dense_scorer_matches_predict_indexed_bitwise(
+        ratings in proptest::collection::vec((0i64..12, 0i64..12, -10i8..=10), 1..90),
+        max_neighbors in proptest::option::of(1usize..5),
+    ) {
+        let ratings: Vec<Rating> = ratings
+            .into_iter()
+            .map(|(u, i, r)| Rating::new(u, i, f64::from(r) / 2.0))
+            .collect();
+        for algo in [Algorithm::ItemCosCF, Algorithm::ItemPearCF] {
+            let config = TrainConfig {
+                neighborhood: recdb_algo::model::NeighborhoodKnobs {
+                    max_neighbors,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let model = RecModel::train(algo, RatingsMatrix::from_ratings(ratings.clone()), &config);
+            let m = model.matrix();
+            let mut scorer = model.scorer();
+            // Visit users in reverse so each switch clears a real row.
+            for u in (0..m.n_users()).rev() {
+                scorer.set_user(u);
+                for i in 0..m.n_items() {
+                    let want = model.predict_indexed(u, i);
+                    let got = scorer.predict(i);
+                    prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{} ({}, {})", algo, u, i);
+                    prop_assert_eq!(scorer.is_rated(i), m.rating_at(u, i).is_some());
+                }
             }
         }
     }

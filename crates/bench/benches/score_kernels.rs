@@ -1,13 +1,20 @@
-//! Score-kernel microbenchmarks: the flat-f32 `dot` and the batched
-//! `score_block` from `recdb_algo::kernels`, at the two factor widths the
-//! system actually runs (16 = accuracy-eval default, 64 ≈ the bench
-//! config's 50 rounded up to a lane multiple). Each iteration scores one
-//! user vector against a 1000-item factor block — the materialization
-//! unit shape — so the `dot` series measures per-pair call overhead and
-//! the `score_block` series the batched path over the same arithmetic.
+//! Score-kernel microbenchmarks: the flat-f32 `dot` from
+//! `recdb_algo::kernels`, at the two factor widths the system actually
+//! runs (16 = accuracy-eval default, 64 ≈ the bench config's 50 rounded
+//! up to a lane multiple). Each iteration scores one user vector against
+//! a 1000-item factor block — the materialization unit shape.
+//!
+//! The `user_scorer` group scores every unseen item of one MovieLens-shape
+//! user with ItemCosCF (`max_neighbors = 64`, the bench configuration):
+//! `itemcf_dense_row` through the dense-row `UserScorer` (the online
+//! operators' path), `itemcf_per_pair` through the per-pair merge-walk
+//! `predict_indexed`, for the same user and the same bit-identical scores.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use recdb_algo::kernels::{dot, score_block};
+use recdb_algo::kernels::dot;
+use recdb_algo::{Algorithm, RatingsMatrix, RecModel};
+use recdb_bench::bench_config;
+use recdb_datasets::SyntheticSpec;
 use std::time::Duration;
 
 /// Items per scored block (the materialization loop's unit of work).
@@ -44,20 +51,45 @@ fn bench_score_kernels(c: &mut Criterion) {
                 acc
             })
         });
-        let mut out = vec![0.0f32; BLOCK_ITEMS];
-        group.bench_with_input(
-            BenchmarkId::new("score_block", format!("f{f}")),
-            &f,
-            |b, &f| {
-                b.iter(|| {
-                    score_block(&user, &items, f, &mut out);
-                    out[BLOCK_ITEMS - 1]
-                })
-            },
-        );
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_score_kernels);
+fn bench_user_scorer(c: &mut Criterion) {
+    let dataset = recdb_datasets::generate(&SyntheticSpec::movielens());
+    let matrix = RatingsMatrix::from_ratings(dataset.algo_ratings());
+    let model = RecModel::train(Algorithm::ItemCosCF, matrix, &bench_config().train);
+    let m = model.matrix();
+    // The most active user: the longest row, so the most neighbours hit.
+    let u = (0..m.n_users())
+        .max_by_key(|&u| m.user_csr().row(u).0.len())
+        .expect("dataset has users");
+    let mut group = c.benchmark_group("user_scorer");
+    group
+        .sample_size(20)
+        .measurement_time(Duration::from_secs(3))
+        .warm_up_time(Duration::from_millis(500));
+    let mut out = Vec::with_capacity(m.n_items());
+    group.bench_function("itemcf_dense_row", |b| {
+        b.iter(|| {
+            out.clear();
+            model.score_unseen_into(u, &mut out);
+            out.len()
+        })
+    });
+    group.bench_function("itemcf_per_pair", |b| {
+        b.iter(|| {
+            out.clear();
+            for i in 0..m.n_items() {
+                if m.rating_at(u, i).is_none() {
+                    out.push((i, model.predict_indexed(u, i).unwrap_or(0.0)));
+                }
+            }
+            out.len()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_score_kernels, bench_user_scorer);
 criterion_main!(benches);

@@ -209,8 +209,8 @@ fn build_scaling() {
 /// Per-pair vs batched materialization scoring throughput on MovieLens
 /// SVD, plus the `BENCH_score.json` artifact. The per-pair path is the
 /// legacy materialization loop (id lookups + one `predict` per item); the
-/// batched path resolves the user index once and scores 256-item blocks
-/// through the flat-f32 `score_block` kernel.
+/// batched path resolves the user once and scores every unseen item
+/// through one `UserScorer` (`RecModel::score_unseen_into`).
 fn score_sweep() {
     header(
         "Score batching: per-pair vs batched materialization throughput",
@@ -293,7 +293,7 @@ fn score_sweep() {
          \"sampled_users\": {},\n  \"pairs\": {},\n  \"reps\": {},\n  \
          \"note\": \"pairs/sec over every unseen (user, item) pair for the \
          sampled users; per_pair is the legacy id-lookup loop, batched is \
-         score_block materialization\",\n  \"results\": [\n    \
+         UserScorer materialization\",\n  \"results\": [\n    \
          {{\"path\": \"per_pair\", \"elapsed_ms\": {:.3}, \"pairs_per_sec\": {:.0}}},\n    \
          {{\"path\": \"batched\", \"elapsed_ms\": {:.3}, \"pairs_per_sec\": {:.0}}}\n  ],\n  \
          \"batched_speedup\": {:.3}\n}}\n",

@@ -13,6 +13,7 @@ use crate::error::{ExecError, ExecResult};
 use recdb_spatial::{functions, Point, Polygon, Rect};
 use recdb_sql::{BinaryOp, Expr, Literal, UnaryOp};
 use recdb_storage::{Schema, Tuple, Value};
+use std::borrow::Cow;
 
 /// An expression with all column references resolved to ordinals.
 #[derive(Debug, Clone, PartialEq)]
@@ -222,52 +223,66 @@ pub fn bind(expr: &Expr, schema: &Schema) -> ExecResult<BoundExpr> {
     }
 }
 
+/// What a column reference past the end of a tuple reads.
+static NULL: Value = Value::Null;
+
 impl BoundExpr {
     /// Evaluate against a tuple.
     pub fn eval(&self, tuple: &Tuple) -> ExecResult<Value> {
+        self.eval_ref(tuple).map(Cow::into_owned)
+    }
+
+    /// Evaluate without copying: column references and literals come
+    /// back borrowed from the tuple and the expression, so comparing a
+    /// TEXT column with a string literal allocates nothing. Only computed
+    /// values are owned.
+    pub fn eval_ref<'a>(&'a self, tuple: &'a Tuple) -> ExecResult<Cow<'a, Value>> {
         match self {
-            BoundExpr::Literal(v) => Ok(v.clone()),
-            BoundExpr::Column(i) => Ok(tuple.get(*i).cloned().unwrap_or(Value::Null)),
+            BoundExpr::Literal(v) => Ok(Cow::Borrowed(v)),
+            BoundExpr::Column(i) => Ok(Cow::Borrowed(tuple.get(*i).unwrap_or(&NULL))),
             BoundExpr::Unary { op, expr } => {
-                let v = expr.eval(tuple)?;
-                match op {
-                    UnaryOp::Neg => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Int(x) => Ok(Value::Int(-x)),
-                        Value::Float(x) => Ok(Value::Float(-x)),
-                        other => Err(ExecError::Type(format!("cannot negate {other}"))),
+                let v = expr.eval_ref(tuple)?;
+                let out = match op {
+                    UnaryOp::Neg => match &*v {
+                        Value::Null => Value::Null,
+                        Value::Int(x) => Value::Int(-x),
+                        Value::Float(x) => Value::Float(-x),
+                        other => return Err(ExecError::Type(format!("cannot negate {other}"))),
                     },
-                    UnaryOp::Not => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Bool(b) => Ok(Value::Bool(!b)),
-                        other => Err(ExecError::Type(format!("NOT applied to {other}"))),
+                    UnaryOp::Not => match &*v {
+                        Value::Null => Value::Null,
+                        Value::Bool(b) => Value::Bool(!b),
+                        other => return Err(ExecError::Type(format!("NOT applied to {other}"))),
                     },
-                }
+                };
+                Ok(Cow::Owned(out))
             }
-            BoundExpr::Binary { op, left, right } => eval_binary(*op, left, right, tuple),
+            BoundExpr::Binary { op, left, right } => {
+                eval_binary(*op, left, right, tuple).map(Cow::Owned)
+            }
             BoundExpr::InList {
                 expr,
                 list,
                 negated,
             } => {
-                let probe = expr.eval(tuple)?;
+                let probe = expr.eval_ref(tuple)?;
                 if probe.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(Cow::Owned(Value::Null));
                 }
                 let mut saw_null = false;
                 for candidate in list {
-                    let c = candidate.eval(tuple)?;
+                    let c = candidate.eval_ref(tuple)?;
                     match probe.sql_eq(&c) {
-                        Some(true) => return Ok(Value::Bool(!negated)),
+                        Some(true) => return Ok(Cow::Owned(Value::Bool(!negated))),
                         Some(false) => {}
                         None => saw_null = true,
                     }
                 }
-                if saw_null {
-                    Ok(Value::Null)
+                Ok(Cow::Owned(if saw_null {
+                    Value::Null
                 } else {
-                    Ok(Value::Bool(*negated))
-                }
+                    Value::Bool(*negated)
+                }))
             }
             BoundExpr::InSet {
                 expr,
@@ -275,17 +290,16 @@ impl BoundExpr {
                 has_null,
                 negated,
             } => {
-                let probe = expr.eval(tuple)?;
-                if probe.is_null() {
-                    return Ok(Value::Null);
-                }
-                if set.contains(&probe) {
-                    Ok(Value::Bool(!negated))
+                let probe = expr.eval_ref(tuple)?;
+                Ok(Cow::Owned(if probe.is_null() {
+                    Value::Null
+                } else if set.contains(&*probe) {
+                    Value::Bool(!negated)
                 } else if *has_null {
-                    Ok(Value::Null)
+                    Value::Null
                 } else {
-                    Ok(Value::Bool(*negated))
-                }
+                    Value::Bool(*negated)
+                }))
             }
             BoundExpr::Between {
                 expr,
@@ -293,25 +307,25 @@ impl BoundExpr {
                 high,
                 negated,
             } => {
-                let v = expr.eval(tuple)?;
-                let lo = low.eval(tuple)?;
-                let hi = high.eval(tuple)?;
+                let v = expr.eval_ref(tuple)?;
+                let lo = low.eval_ref(tuple)?;
+                let hi = high.eval_ref(tuple)?;
                 if v.is_null() || lo.is_null() || hi.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(Cow::Owned(Value::Null));
                 }
                 let inside = v.total_cmp(&lo) != std::cmp::Ordering::Less
                     && v.total_cmp(&hi) != std::cmp::Ordering::Greater;
-                Ok(Value::Bool(inside != *negated))
+                Ok(Cow::Owned(Value::Bool(inside != *negated)))
             }
-            BoundExpr::Function { func, args } => eval_function(*func, args, tuple),
+            BoundExpr::Function { func, args } => eval_function(*func, args, tuple).map(Cow::Owned),
         }
     }
 
     /// Evaluate as a predicate: `true` only when the result is `TRUE`
     /// (SQL filter semantics — NULL and FALSE both reject).
     pub fn eval_predicate(&self, tuple: &Tuple) -> ExecResult<bool> {
-        match self.eval(tuple)? {
-            Value::Bool(b) => Ok(b),
+        match &*self.eval_ref(tuple)? {
+            Value::Bool(b) => Ok(*b),
             Value::Null => Ok(false),
             other => Err(ExecError::Type(format!(
                 "WHERE predicate evaluated to non-boolean {other}"
@@ -328,24 +342,19 @@ fn eval_binary(
 ) -> ExecResult<Value> {
     // Kleene AND/OR with short-circuit on the determining value.
     if matches!(op, BinaryOp::And | BinaryOp::Or) {
-        let l = left.eval(tuple)?;
-        let l = match l {
-            Value::Null => None,
-            Value::Bool(b) => Some(b),
-            other => return Err(ExecError::Type(format!("logical op on {other}"))),
+        let logical = |v: &Value| match v {
+            Value::Null => Ok(None),
+            Value::Bool(b) => Ok(Some(*b)),
+            other => Err(ExecError::Type(format!("logical op on {other}"))),
         };
+        let l = logical(&*left.eval_ref(tuple)?)?;
         if op == BinaryOp::And && l == Some(false) {
             return Ok(Value::Bool(false));
         }
         if op == BinaryOp::Or && l == Some(true) {
             return Ok(Value::Bool(true));
         }
-        let r = right.eval(tuple)?;
-        let r = match r {
-            Value::Null => None,
-            Value::Bool(b) => Some(b),
-            other => return Err(ExecError::Type(format!("logical op on {other}"))),
-        };
+        let r = logical(&*right.eval_ref(tuple)?)?;
         let out = match (op, l, r) {
             (BinaryOp::And, Some(true), Some(true)) => Some(true),
             (BinaryOp::And, Some(false), _) | (BinaryOp::And, _, Some(false)) => Some(false),
@@ -356,8 +365,8 @@ fn eval_binary(
         return Ok(out.map(Value::Bool).unwrap_or(Value::Null));
     }
 
-    let l = left.eval(tuple)?;
-    let r = right.eval(tuple)?;
+    let l = left.eval_ref(tuple)?;
+    let r = right.eval_ref(tuple)?;
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
@@ -425,11 +434,11 @@ fn eval_arithmetic(op: BinaryOp, l: &Value, r: &Value) -> ExecResult<Value> {
 }
 
 fn eval_function(func: BuiltinFunc, args: &[BoundExpr], tuple: &Tuple) -> ExecResult<Value> {
-    let vals: Vec<Value> = args
+    let vals: Vec<Cow<'_, Value>> = args
         .iter()
-        .map(|a| a.eval(tuple))
+        .map(|a| a.eval_ref(tuple))
         .collect::<ExecResult<_>>()?;
-    if vals.iter().any(Value::is_null) {
+    if vals.iter().any(|v| v.is_null()) {
         return Ok(Value::Null);
     }
     let point = |v: &Value, fname: &str| -> ExecResult<Point> {
@@ -481,7 +490,7 @@ fn eval_function(func: BuiltinFunc, args: &[BoundExpr], tuple: &Tuple) -> ExecRe
             let d = num(&vals[3], "RECT")?;
             Ok(Value::Rect(a, b, c, d))
         }
-        BuiltinFunc::Abs => match &vals[0] {
+        BuiltinFunc::Abs => match &*vals[0] {
             Value::Int(v) => Ok(Value::Int(v.abs())),
             Value::Float(v) => Ok(Value::Float(v.abs())),
             other => Err(ExecError::Type(format!(

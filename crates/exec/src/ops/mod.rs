@@ -14,7 +14,7 @@ use crate::error::ExecResult;
 use crate::expr::BoundExpr;
 use recdb_guard::QueryGuard;
 use recdb_obs::{Clock, Counter, OpStats};
-use recdb_storage::{HeapTable, Rid, Schema, Tuple, Value};
+use recdb_storage::{HeapTable, Schema, Tuple, Value};
 use std::sync::Arc;
 
 pub use aggregate::{AggFunc, AggOutput, HashAggregateOp};
@@ -106,12 +106,28 @@ pub fn drain(op: &mut dyn PhysicalOp) -> ExecResult<Vec<Tuple>> {
 
 // ------------------------------------------------------------------- Scan
 
-/// Sequential heap scan, page at a time (charges one page read per block).
+/// Sequential heap scan, a page at a time, optionally with a fused filter.
+///
+/// Each page's rows are decoded one at a time into a reused scratch
+/// tuple; with a predicate attached (a `Filter` directly over the scan),
+/// the predicate is evaluated on the scratch row in place and only
+/// passing rows are cloned out. A predicate error is returned after the
+/// rows of the page that passed before it, exactly where scan-then-filter
+/// would have raised it. The guard is ticked once per page for every row
+/// examined, so cancellation latency is one page.
 pub struct ScanOp<'a> {
     heap: &'a HeapTable,
     schema: Schema,
+    predicate: Option<BoundExpr>,
     page: u32,
-    buffer: std::vec::IntoIter<(Rid, Tuple)>,
+    /// Rows of the current page to emit, taken out from `pos` on.
+    rows: Vec<Tuple>,
+    pos: usize,
+    /// A predicate error raised on the current page, surfaced once
+    /// `rows` is drained.
+    error: Option<crate::error::ExecError>,
+    exhausted: bool,
+    scratch: Tuple,
     guard: QueryGuard,
     rows_scanned: Option<Arc<Counter>>,
 }
@@ -123,24 +139,73 @@ impl<'a> ScanOp<'a> {
         ScanOp {
             heap,
             schema,
+            predicate: None,
             page: 0,
-            buffer: Vec::new().into_iter(),
+            rows: Vec::new(),
+            pos: 0,
+            error: None,
+            exhausted: false,
+            scratch: Tuple::default(),
             guard: QueryGuard::unlimited(),
             rows_scanned: None,
         }
     }
 
-    /// Attach a resource governor (checked once per emitted tuple).
+    /// Fuse a filter into the scan: emit only rows for which `predicate`
+    /// (bound against the scan schema) is TRUE.
+    pub fn with_filter(mut self, predicate: BoundExpr) -> Self {
+        self.predicate = Some(predicate);
+        self
+    }
+
+    /// Attach a resource governor (charged once per page with the number
+    /// of rows examined).
     pub fn with_guard(mut self, guard: QueryGuard) -> Self {
         self.guard = guard;
         self
     }
 
-    /// Attach an engine-wide rows-scanned counter, bumped once per tuple
-    /// the scan emits.
+    /// Attach an engine-wide rows-scanned counter, bumped once per page
+    /// by the number of rows the scan examined.
     pub fn with_rows_counter(mut self, counter: Arc<Counter>) -> Self {
         self.rows_scanned = Some(counter);
         self
+    }
+
+    /// Read the next page into `rows`; false past the last page.
+    fn fill(&mut self) -> Result<bool, crate::error::ExecError> {
+        let ScanOp {
+            heap,
+            predicate,
+            rows,
+            error,
+            scratch,
+            ..
+        } = self;
+        rows.clear();
+        self.pos = 0;
+        let visited = heap.visit_page(self.page, scratch, |row| {
+            let keep = match predicate {
+                None => Ok(true),
+                Some(p) => p.eval_predicate(row),
+            };
+            match keep {
+                Ok(true) => rows.push(row.clone()),
+                Ok(false) => {}
+                Err(e) => *error = Some(e),
+            }
+            error.is_none()
+        });
+        let Some(visited) = visited else {
+            self.guard.tick_n(0)?;
+            return Ok(false);
+        };
+        self.page += 1;
+        if let Some(c) = &self.rows_scanned {
+            c.add(visited as u64);
+        }
+        self.guard.tick_n(visited as u64)?;
+        Ok(true)
     }
 }
 
@@ -150,19 +215,26 @@ impl PhysicalOp for ScanOp<'_> {
     }
 
     fn next(&mut self) -> Option<ExecResult<Tuple>> {
-        if let Err(e) = self.guard.tick() {
-            return Some(Err(e.into()));
-        }
         loop {
-            if let Some((_, tuple)) = self.buffer.next() {
-                if let Some(c) = &self.rows_scanned {
-                    c.inc();
-                }
-                return Some(Ok(tuple));
+            if let Some(row) = self.rows.get_mut(self.pos) {
+                self.pos += 1;
+                return Some(Ok(std::mem::take(row)));
             }
-            let tuples = self.heap.read_page(self.page)?;
-            self.page += 1;
-            self.buffer = tuples.into_iter();
+            if let Some(e) = self.error.take() {
+                self.exhausted = true;
+                return Some(Err(e));
+            }
+            if self.exhausted {
+                return None;
+            }
+            match self.fill() {
+                Ok(true) => {}
+                Ok(false) => self.exhausted = true,
+                Err(e) => {
+                    self.exhausted = true;
+                    return Some(Err(e));
+                }
+            }
         }
     }
 
@@ -284,14 +356,20 @@ impl PhysicalOp for ProjectOp<'_> {
 
 // ------------------------------------------------------------------- Sort
 
+/// A buffered sort row: its evaluated keys, the tuple, and the tuple's
+/// encoded size (what the memory budget is charged for it).
+type SortRow = (Vec<Value>, Tuple, u64);
+
 /// Blocking sort. Materializes its input on first `next()`.
 ///
-/// With [`SortOp::with_limit`] the operator becomes a bounded top-k: only
-/// the best `k` rows are kept during materialization (`O(n log k)` heap
-/// selection instead of an `O(n log n)` full sort). Selection is stable —
-/// rows that tie on every key keep input order — so the output is exactly
-/// the full sort truncated to `k`; the planner uses this to fuse
-/// `LIMIT k` over `ORDER BY` (the `RECOMMEND … LIMIT k` fast path).
+/// With [`SortOp::with_limit`] the operator becomes a bounded top-k: the
+/// input streams through a `k`-bounded heap ([`recdb_algo::TopK`]), so
+/// only the best `k` rows are ever held (`O(n log k)` time, `O(k)`
+/// memory) and the memory budget is charged for the high-water mark of
+/// the rows retained, not for every row seen. Selection is stable — rows
+/// that tie on every key keep input order — so the output is exactly the
+/// full sort truncated to `k`; the planner uses this to fuse `LIMIT k`
+/// over `ORDER BY`.
 pub struct SortOp<'a> {
     input: Box<dyn PhysicalOp + 'a>,
     /// `(key expression, descending?)` in priority order.
@@ -301,8 +379,8 @@ pub struct SortOp<'a> {
     sorted: Option<std::vec::IntoIter<Tuple>>,
     error: Option<crate::error::ExecError>,
     guard: QueryGuard,
-    /// Encoded bytes buffered during materialization (profiling actual;
-    /// mirrors what `charge_mem` accounted against the governor).
+    /// Peak encoded bytes held during materialization (profiling actual;
+    /// equals what `charge_mem` accounted against the governor).
     buffered_bytes: u64,
 }
 
@@ -328,63 +406,31 @@ impl<'a> SortOp<'a> {
         limit: usize,
     ) -> Self {
         SortOp {
-            input,
-            keys,
             limit: Some(limit),
-            sorted: None,
-            error: None,
-            guard: QueryGuard::unlimited(),
-            buffered_bytes: 0,
+            ..SortOp::new(input, keys)
         }
     }
 
     /// Attach a resource governor. The blocking materialize drain ticks
-    /// per buffered row and charges each row's encoded size against the
-    /// memory budget, so a runaway sort is stopped while buffering, not
-    /// after.
+    /// per input row and charges retained bytes against the memory
+    /// budget as they grow, so a runaway sort is stopped while
+    /// buffering, not after.
     pub fn with_guard(mut self, guard: QueryGuard) -> Self {
         self.guard = guard;
         self
     }
 
-    fn materialize(&mut self) {
-        if let Err(e) = recdb_fault::fail_point("exec::sort_materialize") {
-            self.error = Some(e.into());
-            return;
-        }
-        let mut rows: Vec<(Vec<Value>, Tuple)> = Vec::new();
-        while let Some(t) = self.input.next() {
-            let tuple = match t {
-                Ok(t) => t,
-                Err(e) => {
-                    self.error = Some(e);
-                    return;
-                }
-            };
-            let encoded_size = tuple.encoded_size() as u64;
-            self.buffered_bytes += encoded_size;
-            let governed = self
-                .guard
-                .tick()
-                .and_then(|()| self.guard.charge_mem(encoded_size));
-            if let Err(e) = governed {
-                self.error = Some(e.into());
-                return;
-            }
-            let mut key = Vec::with_capacity(self.keys.len());
-            for (expr, _) in &self.keys {
-                match expr.eval(&tuple) {
-                    Ok(v) => key.push(v),
-                    Err(e) => {
-                        self.error = Some(e);
-                        return;
-                    }
-                }
-            }
-            rows.push((key, tuple));
-        }
-        let keys = &self.keys;
-        let cmp = |a: &(Vec<Value>, Tuple), b: &(Vec<Value>, Tuple)| {
+    fn materialize(&mut self) -> ExecResult<Vec<Tuple>> {
+        recdb_fault::fail_point("exec::sort_materialize")?;
+        let SortOp {
+            input,
+            keys,
+            limit,
+            guard,
+            buffered_bytes,
+            ..
+        } = self;
+        let cmp = |a: &SortRow, b: &SortRow| {
             for (i, (_, desc)) in keys.iter().enumerate() {
                 let ord = a.0[i].total_cmp(&b.0[i]);
                 let ord = if *desc { ord.reverse() } else { ord };
@@ -394,18 +440,41 @@ impl<'a> SortOp<'a> {
             }
             std::cmp::Ordering::Equal
         };
-        match self.limit {
-            // Bounded top-k: stable heap selection, identical output to
-            // the stable full sort below truncated to `k`.
-            Some(k) => rows = recdb_algo::top_k_by(rows, k, cmp),
-            None => rows.sort_by(cmp),
+        // A full sort retains every row; a top-k retains at most `k`.
+        let mut all: Vec<SortRow> = Vec::new();
+        let mut top = limit.map(|k| recdb_algo::TopK::new(k, cmp));
+        let mut retained = 0u64;
+        while let Some(t) = input.next() {
+            let tuple = t?;
+            guard.tick()?;
+            let key = keys
+                .iter()
+                .map(|(expr, _)| expr.eval(&tuple))
+                .collect::<ExecResult<Vec<Value>>>()?;
+            let size = tuple.encoded_size() as u64;
+            retained += size;
+            let row = (key, tuple, size);
+            match &mut top {
+                Some(top) => {
+                    if let Some((_, _, dropped)) = top.push(row) {
+                        retained -= dropped;
+                    }
+                }
+                None => all.push(row),
+            }
+            if retained > *buffered_bytes {
+                guard.charge_mem(retained - *buffered_bytes)?;
+                *buffered_bytes = retained;
+            }
         }
-        self.sorted = Some(
-            rows.into_iter()
-                .map(|(_, t)| t)
-                .collect::<Vec<_>>()
-                .into_iter(),
-        );
+        let rows = match top {
+            Some(top) => top.into_sorted(),
+            None => {
+                all.sort_by(cmp);
+                all
+            }
+        };
+        Ok(rows.into_iter().map(|(_, t, _)| t).collect())
     }
 }
 
@@ -416,7 +485,10 @@ impl PhysicalOp for SortOp<'_> {
 
     fn next(&mut self) -> Option<ExecResult<Tuple>> {
         if self.sorted.is_none() && self.error.is_none() {
-            self.materialize();
+            match self.materialize() {
+                Ok(rows) => self.sorted = Some(rows.into_iter()),
+                Err(e) => self.error = Some(e),
+            }
         }
         if let Some(e) = self.error.take() {
             return Some(Err(e));
@@ -668,6 +740,71 @@ mod tests {
             .map(|t| t.get(0).unwrap().as_int().unwrap())
             .collect();
         assert_eq!(ids, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn bounded_topk_charges_only_the_rows_it_keeps() {
+        let keys = || vec![(predicate_expr("ratingval"), true)];
+        let row_bytes = rows(1)[0].encoded_size() as u64;
+        let guard = QueryGuard::with_limits(None, None, Some(10 * row_bytes));
+        let mut topk = SortOp::with_limit(values(1000), keys(), 10).with_guard(guard.clone());
+        assert_eq!(drain(&mut topk).unwrap().len(), 10);
+        assert_eq!(topk.buffered_bytes(), 10 * row_bytes);
+        assert_eq!(
+            guard.mem_used(),
+            10 * row_bytes,
+            "high-water mark, not input"
+        );
+        let guard = QueryGuard::with_limits(None, None, Some(10 * row_bytes));
+        let mut full = SortOp::new(values(1000), keys()).with_guard(guard);
+        assert!(drain(&mut full).is_err(), "a full sort holds every row");
+    }
+
+    #[test]
+    fn fused_scan_filters_in_place_and_surfaces_errors_in_order() {
+        let mut heap = HeapTable::new(schema());
+        for t in rows(600) {
+            heap.insert(t).unwrap();
+        }
+        let scan = |p: &str| ScanOp::new(&heap, schema()).with_filter(predicate(p));
+        let got = drain(&mut scan("uid >= 590")).unwrap();
+        let ids: Vec<i64> = got
+            .iter()
+            .map(|t| t.get(0).unwrap().as_int().unwrap())
+            .collect();
+        assert_eq!(ids, (590..600).collect::<Vec<_>>());
+        // `10 / (uid - 5)` divides by zero on row 5: rows 0..5 that pass
+        // come out first, then the error, then nothing.
+        let mut op = scan("10 / (uid - 5) < 0");
+        let mut passed = Vec::new();
+        let err = loop {
+            match op.next() {
+                Some(Ok(t)) => passed.push(t.get(0).unwrap().as_int().unwrap()),
+                Some(Err(e)) => break e,
+                None => panic!("the division by zero must surface"),
+            }
+        };
+        assert_eq!(passed, vec![0, 1, 2, 3, 4]);
+        assert_eq!(err, crate::error::ExecError::DivisionByZero);
+        assert!(op.next().is_none());
+    }
+
+    #[test]
+    fn scan_charges_the_guard_per_examined_row() {
+        let mut heap = HeapTable::new(schema());
+        for t in rows(50) {
+            heap.insert(t).unwrap();
+        }
+        let run = |budget: u64| {
+            let guard = QueryGuard::with_limits(None, Some(budget), None);
+            drain(
+                &mut ScanOp::new(&heap, schema())
+                    .with_filter(predicate("uid < 0"))
+                    .with_guard(guard),
+            )
+        };
+        assert!(run(50).unwrap().is_empty());
+        assert!(run(49).is_err(), "filtered-out rows are charged too");
     }
 
     #[test]

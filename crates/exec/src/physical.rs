@@ -9,7 +9,11 @@
 //!   (§IV-C), else
 //!   `RECOMMEND`/`FILTERRECOMMEND`;
 //! * `Sort` is elided when an `IndexRecommend` below it already delivers
-//!   tuples in descending rating order (the paper's top-k plan);
+//!   tuples in descending rating order (the paper's top-k plan), and
+//!   `ORDER BY <rating> DESC LIMIT k` over an online Recommend leaf is
+//!   fused into the leaf, which ranks its own blocks of scores;
+//! * `LIMIT k` over any other `ORDER BY` becomes a bounded `TopKSort`;
+//! * a `Filter` directly over a base table is fused into the `SeqScan`;
 //! * joins hash on one extracted equi-condition when available.
 
 use crate::error::{ExecError, ExecResult};
@@ -146,6 +150,18 @@ pub fn execute_plan_profiled(
 /// and records its node (with whatever children the recursion pushed) in
 /// the profile tree.
 fn build<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built<'a>> {
+    build_with(plan, ctx, build_node)
+}
+
+/// [`build`] with the node built by `build_node` instead of the default
+/// [`build_node`] — for parents that build a child a special way (the
+/// fused top-k Recommend leaf) but still want it profiled as its own
+/// node.
+fn build_with<'a>(
+    plan: &LogicalPlan,
+    ctx: &ExecContext<'a>,
+    build_node: impl FnOnce(&LogicalPlan, &ExecContext<'a>) -> ExecResult<Built<'a>>,
+) -> ExecResult<Built<'a>> {
     let Some(profiler) = &ctx.profiler else {
         return build_node(plan, ctx);
     };
@@ -172,6 +188,13 @@ fn node_label(op: &dyn PhysicalOp, plan: &LogicalPlan) -> String {
     let name = op.name();
     match plan {
         LogicalPlan::Scan { table, binding, .. } => format!("{name} {table} AS {binding}"),
+        // A Filter fused into the scan below it.
+        LogicalPlan::Filter { input, predicate } if name == "SeqScan" => match &**input {
+            LogicalPlan::Scan { table, binding, .. } => {
+                format!("{name} {table} AS {binding} filter={predicate}")
+            }
+            _ => name.to_owned(),
+        },
         LogicalPlan::Recommend(node) => format!("{name} {}", node.algorithm.name()),
         LogicalPlan::RecJoin { rec, .. } if name == "JoinRecommend" => {
             format!("{name} {}", rec.algorithm.name())
@@ -186,18 +209,23 @@ fn node_label(op: &dyn PhysicalOp, plan: &LogicalPlan) -> String {
 
 fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built<'a>> {
     match plan {
-        LogicalPlan::Scan { table, schema, .. } => {
-            let t = ctx.catalog.table(table)?;
-            let mut scan = ScanOp::new(t.heap(), schema.clone()).with_guard(ctx.guard.clone());
-            if let Some(metrics) = &ctx.metrics {
-                scan = scan.with_rows_counter(metrics.counter("recdb_rows_scanned_total"));
-            }
+        LogicalPlan::Scan { table, schema, .. } => Ok(Built {
+            op: Box::new(scan_op(table, schema, ctx)?),
+            sorted_desc: None,
+        }),
+        LogicalPlan::Recommend(node) => build_recommend(node, None, ctx),
+        // A filter directly over a base table fuses into the scan: rows
+        // are tested as they are decoded and only passing rows are built.
+        LogicalPlan::Filter { input, predicate } if matches!(**input, LogicalPlan::Scan { .. }) => {
+            let LogicalPlan::Scan { table, schema, .. } = &**input else {
+                unreachable!("guarded by the match arm")
+            };
+            let bound = bind(predicate, schema)?;
             Ok(Built {
-                op: Box::new(scan),
+                op: Box::new(scan_op(table, schema, ctx)?.with_filter(bound)),
                 sorted_desc: None,
             })
         }
-        LogicalPlan::Recommend(node) => build_recommend(node, ctx),
         LogicalPlan::Filter { input, predicate } => {
             let child = build(input, ctx)?;
             let bound = bind(predicate, child.op.schema())?;
@@ -330,7 +358,19 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
                 keys,
             } = &**input
             {
-                let child = build(sort_input, ctx)?;
+                let k = usize::try_from(*limit).unwrap_or(usize::MAX);
+                // `ORDER BY <rating> DESC LIMIT k` straight over an
+                // online Recommend leaf: the leaf ranks its own scores
+                // (fused top-k) and reports its output sorted, so the
+                // sort below is elided.
+                let child = match &**sort_input {
+                    LogicalPlan::Recommend(node) if orders_by_rating_desc(keys, node) => {
+                        build_with(sort_input, ctx, |_, ctx| {
+                            build_recommend(node, Some(k), ctx)
+                        })?
+                    }
+                    _ => build(sort_input, ctx)?,
+                };
                 if sort_is_redundant(keys, child.sorted_desc.as_deref(), child.op.schema()) {
                     return Ok(Built {
                         sorted_desc: child.sorted_desc,
@@ -342,7 +382,6 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
                     .map(|k| Ok((bind(&k.expr, child.op.schema())?, k.desc)))
                     .collect::<ExecResult<_>>()?;
                 let sorted_desc = single_desc_column(keys);
-                let k = usize::try_from(*limit).unwrap_or(usize::MAX);
                 return Ok(Built {
                     op: Box::new(
                         SortOp::with_limit(child.op, bound, k).with_guard(ctx.guard.clone()),
@@ -372,7 +411,36 @@ fn build_node<'a>(plan: &LogicalPlan, ctx: &ExecContext<'a>) -> ExecResult<Built
     }
 }
 
-fn build_recommend<'a>(node: &RecommendNode, ctx: &ExecContext<'a>) -> ExecResult<Built<'a>> {
+/// A sequential scan of `table`, governed and metered per `ctx`.
+fn scan_op<'a>(table: &str, schema: &Schema, ctx: &ExecContext<'a>) -> ExecResult<ScanOp<'a>> {
+    let t = ctx.catalog.table(table)?;
+    let mut scan = ScanOp::new(t.heap(), schema.clone()).with_guard(ctx.guard.clone());
+    if let Some(metrics) = &ctx.metrics {
+        scan = scan.with_rows_counter(metrics.counter("recdb_rows_scanned_total"));
+    }
+    Ok(scan)
+}
+
+/// The qualified reference to a Recommend leaf's rating column.
+fn rating_ref(node: &RecommendNode) -> String {
+    format!("{}.{}", node.binding, node.rating_column)
+}
+
+/// Is `keys` exactly `<node's rating column> DESC`?
+fn orders_by_rating_desc(keys: &[OrderKey], node: &RecommendNode) -> bool {
+    sort_is_redundant(keys, Some(&rating_ref(node)), &node.schema())
+}
+
+/// Build the Recommend leaf: IndexRecommend when a materialized index
+/// covers every queried user, else online (Filter)Recommend. `top_k` asks
+/// the online operator to rank its output and keep the best `k` (the
+/// fused `ORDER BY <rating> DESC LIMIT k`); the result is then reported
+/// sorted descending on the rating column.
+fn build_recommend<'a>(
+    node: &RecommendNode,
+    top_k: Option<usize>,
+    ctx: &ExecContext<'a>,
+) -> ExecResult<Built<'a>> {
     let model = ctx
         .provider
         .model(&node.ratings_table, node.algorithm)
@@ -389,8 +457,7 @@ fn build_recommend<'a>(node: &RecommendNode, ctx: &ExecContext<'a>) -> ExecResul
                     if let Some(metrics) = &ctx.metrics {
                         metrics.counter("recdb_recscoreindex_hits_total").inc();
                     }
-                    let sorted_desc = (users.len() == 1)
-                        .then(|| format!("{}.{}", node.binding, node.rating_column));
+                    let sorted_desc = (users.len() == 1).then(|| rating_ref(node));
                     return Ok(Built {
                         op: Box::new(
                             IndexRecommendOp::new(
@@ -413,19 +480,21 @@ fn build_recommend<'a>(node: &RecommendNode, ctx: &ExecContext<'a>) -> ExecResul
     if let Some(metrics) = &ctx.metrics {
         metrics.counter("recdb_recscoreindex_misses_total").inc();
     }
+    let mut op = RecommendOp::new(
+        model,
+        node.schema(),
+        node.user_ids.clone(),
+        node.item_ids.clone(),
+        node.min_rating,
+        node.max_rating,
+    )
+    .with_guard(ctx.guard.clone());
+    if let Some(k) = top_k {
+        op = op.with_top_k(k);
+    }
     Ok(Built {
-        op: Box::new(
-            RecommendOp::new(
-                model,
-                node.schema(),
-                node.user_ids.clone(),
-                node.item_ids.clone(),
-                node.min_rating,
-                node.max_rating,
-            )
-            .with_guard(ctx.guard.clone()),
-        ),
-        sorted_desc: None,
+        op: Box::new(op),
+        sorted_desc: top_k.map(|_| rating_ref(node)),
     })
 }
 

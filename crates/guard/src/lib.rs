@@ -161,7 +161,16 @@ impl QueryGuard {
     /// Charge one unit of row work, then check every limit. Call once
     /// per tuple produced (or per epoch/chunk in model builds).
     pub fn tick(&self) -> Result<(), GuardError> {
-        let used = self.inner.rows.fetch_add(1, Ordering::Relaxed) + 1;
+        self.tick_n(1)
+    }
+
+    /// Charge `n` units of row work at once, then check every limit:
+    /// the block-at-a-time form of [`tick`](Self::tick) for operators
+    /// that examine a page or a block of candidates per step. The row
+    /// budget trips at the same cumulative count as `n` single ticks
+    /// would reach, and `n = 0` still checks cancellation and deadline.
+    pub fn tick_n(&self, n: u64) -> Result<(), GuardError> {
+        let used = self.inner.rows.fetch_add(n, Ordering::Relaxed) + n;
         if let Some(budget) = self.inner.row_budget {
             if used > budget {
                 return Err(GuardError::ResourceExhausted {
@@ -228,6 +237,45 @@ mod tests {
                 used: 4
             })
         );
+    }
+
+    #[test]
+    fn tick_n_trips_at_the_same_cumulative_count_as_single_ticks() {
+        for budget in [0u64, 1, 5, 9, 10, 11, 40] {
+            for n in [1u64, 3, 4, 10] {
+                let single = QueryGuard::with_limits(None, Some(budget), None);
+                let block = QueryGuard::with_limits(None, Some(budget), None);
+                for step in 1..=5u64 {
+                    let single_ok = (0..n).all(|_| single.tick().is_ok());
+                    let block_ok = block.tick_n(n).is_ok();
+                    assert_eq!(single_ok, block_ok, "budget {budget}, n {n}, step {step}");
+                    assert_eq!(block_ok, step * n <= budget);
+                }
+            }
+        }
+        let g = QueryGuard::with_limits(None, Some(3), None);
+        assert_eq!(
+            g.tick_n(4),
+            Err(GuardError::ResourceExhausted {
+                resource: "rows",
+                budget: 3,
+                used: 4
+            })
+        );
+    }
+
+    #[test]
+    fn tick_n_zero_still_checks_cancel_and_deadline() {
+        let g = QueryGuard::with_limits(None, Some(0), None);
+        g.tick_n(0).unwrap();
+        assert_eq!(g.rows_used(), 0);
+        g.cancel();
+        assert!(matches!(g.tick_n(0), Err(GuardError::Cancelled { .. })));
+        let expired = QueryGuard::with_limits(Some(Duration::ZERO), None, None);
+        assert!(matches!(
+            expired.tick_n(0),
+            Err(GuardError::Cancelled { .. })
+        ));
     }
 
     #[test]

@@ -402,6 +402,12 @@ impl Clone for BTree {
 
 #[cfg(test)]
 mod tests {
+    //! Every test that splits a node reaches the process-global
+    //! `storage::btree_split` fail point (and the tiny-pool test
+    //! `storage::pool_evict` too), so each holds `recdb_fault::exclusive()`:
+    //! otherwise a concurrent test could hit or consume the fault that
+    //! `split_fail_point_leaves_tree_consistent` arms.
+
     use super::*;
     use crate::error::StorageError;
 
@@ -417,6 +423,7 @@ mod tests {
 
     #[test]
     fn insert_contains_remove_roundtrip() {
+        let _x = recdb_fault::exclusive();
         let mut t = small_tree(4);
         for n in 0..100 {
             assert!(t.insert(key(n)).unwrap());
@@ -436,6 +443,7 @@ mod tests {
 
     #[test]
     fn keys_come_back_sorted_regardless_of_insert_order() {
+        let _x = recdb_fault::exclusive();
         let mut t = small_tree(4);
         // Insert in a scrambled deterministic order.
         for n in 0..500u64 {
@@ -449,6 +457,7 @@ mod tests {
 
     #[test]
     fn range_scan_respects_bounds_and_early_stop() {
+        let _x = recdb_fault::exclusive();
         let mut t = small_tree(5);
         for n in 0..200 {
             t.insert(key(n)).unwrap();
@@ -472,6 +481,7 @@ mod tests {
 
     #[test]
     fn scan_skips_emptied_leaves() {
+        let _x = recdb_fault::exclusive();
         let mut t = small_tree(4);
         for n in 0..100 {
             t.insert(key(n)).unwrap();
@@ -487,6 +497,7 @@ mod tests {
 
     #[test]
     fn clear_resets_to_empty_root() {
+        let _x = recdb_fault::exclusive();
         let mut t = small_tree(4);
         for n in 0..300 {
             t.insert(key(n)).unwrap();
@@ -501,6 +512,7 @@ mod tests {
 
     #[test]
     fn clone_is_deep_and_equal() {
+        let _x = recdb_fault::exclusive();
         let mut t = small_tree(6);
         for n in 0..150 {
             t.insert(key(n * 3)).unwrap();
@@ -513,6 +525,7 @@ mod tests {
 
     #[test]
     fn works_under_a_tiny_pool() {
+        let _x = recdb_fault::exclusive();
         let pool = Arc::new(BufferPool::in_memory(4));
         let mut t = BTree::create(Arc::clone(&pool), "t", 8).unwrap();
         for n in 0..2000 {

@@ -354,6 +354,45 @@ impl HeapTable {
         Some(tuples)
     }
 
+    /// Visit page `page_no`'s live rows without materializing them: each
+    /// row is decoded into `scratch` in turn and handed to `visit`, which
+    /// returns `false` to stop early. Returns the number of rows visited
+    /// (charged as tuple reads), or `None` past the last page. Charges one
+    /// page read, like [`read_page`](Self::read_page).
+    ///
+    /// `visit` runs while the buffer pool holds the page, so it must not
+    /// call back into the pool; evaluating a predicate and cloning the
+    /// rows it keeps is the intended use (a filtered scan).
+    pub fn visit_page(
+        &self,
+        page_no: u32,
+        scratch: &mut Tuple,
+        mut visit: impl FnMut(&Tuple) -> bool,
+    ) -> Option<usize> {
+        if page_no >= self.pool.page_count(self.file) {
+            return None;
+        }
+        self.stats.record_page_reads(1);
+        let visited = self
+            .pool
+            .with_page(self.file, page_no, |page| {
+                let mut visited = 0;
+                for (_, raw) in page.live_rows() {
+                    scratch
+                        .decode_into(raw)
+                        .expect("page data is self-consistent");
+                    visited += 1;
+                    if !visit(scratch) {
+                        break;
+                    }
+                }
+                visited
+            })
+            .expect("buffer pool read failed during scan");
+        self.stats.record_tuple_reads(visited as u64);
+        Some(visited)
+    }
+
     /// Block-at-a-time scan: an iterator of per-page tuple iterators.
     ///
     /// This is the access path the paper's Algorithm 1/2 pseudo-code uses
@@ -503,7 +542,42 @@ mod tests {
     }
 
     #[test]
+    fn visit_page_sees_what_read_page_returns() {
+        let mut t = ratings();
+        let mut rids = Vec::new();
+        for i in 0..700 {
+            rids.push(t.insert(row(i, i, 1.0)).unwrap());
+        }
+        for rid in rids.iter().step_by(3) {
+            t.delete(*rid).unwrap();
+        }
+        let mut scratch = Tuple::default();
+        for pno in 0..t.page_count() as u32 {
+            let want: Vec<Tuple> = t
+                .read_page(pno)
+                .unwrap()
+                .into_iter()
+                .map(|(_, r)| r)
+                .collect();
+            let mut got = Vec::new();
+            let visited = t.visit_page(pno, &mut scratch, |r| {
+                got.push(r.clone());
+                true
+            });
+            assert_eq!(visited, Some(want.len()));
+            assert_eq!(got, want);
+            // Stopping early visits exactly one row.
+            assert_eq!(t.visit_page(pno, &mut scratch, |_| false), Some(1));
+        }
+        assert_eq!(
+            t.visit_page(t.page_count() as u32, &mut scratch, |_| true),
+            None
+        );
+    }
+
+    #[test]
     fn scans_are_identical_under_a_tiny_pool() {
+        let _x = recdb_fault::exclusive();
         // The eviction-pressure contract in miniature: a pool of 2 frames
         // over a multi-page table returns exactly what an unbounded heap
         // returns, and leaves nothing pinned.

@@ -121,15 +121,25 @@ impl Page {
 
     /// Iterate live `(slot, tuple)` pairs in slot order.
     pub fn iter_live(&self) -> impl Iterator<Item = (u16, Tuple)> + '_ {
-        self.slots.iter().enumerate().filter_map(|(i, s)| {
-            if s.live {
-                let raw = &self.data[s.offset as usize..(s.offset + s.len) as usize];
-                let (tuple, _) = Tuple::decode(raw).expect("page data is self-consistent");
-                Some((i as u16, tuple))
-            } else {
-                None
-            }
+        self.live_rows().map(|(slot, raw)| {
+            let (tuple, _) = Tuple::decode(raw).expect("page data is self-consistent");
+            (slot, tuple)
         })
+    }
+
+    /// The encoded bytes of every live slot, in slot order, for callers
+    /// that decode into a reused [`Tuple::decode_into`] scratch row.
+    pub fn live_rows(&self) -> impl Iterator<Item = (u16, &[u8])> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.live)
+            .map(|(i, s)| {
+                (
+                    i as u16,
+                    &self.data[s.offset as usize..(s.offset + s.len) as usize],
+                )
+            })
     }
 
     /// Rewrite the page keeping only live tuples. Slot numbers change;

@@ -113,6 +113,16 @@ impl Tuple {
     /// Decode a tuple from the front of `bytes`, returning the tuple and the
     /// number of bytes consumed.
     pub fn decode(bytes: &[u8]) -> StorageResult<(Tuple, usize)> {
+        let mut tuple = Tuple::default();
+        let used = tuple.decode_into(bytes)?;
+        Ok((tuple, used))
+    }
+
+    /// [`decode`](Self::decode) into `self`, reusing its value buffer:
+    /// scans decode every row of a page into one scratch tuple and clone
+    /// only the rows they keep. Returns the number of bytes consumed; on
+    /// error `self` holds an unspecified prefix of the row.
+    pub fn decode_into(&mut self, bytes: &[u8]) -> StorageResult<usize> {
         let corrupt = |msg: &str| StorageError::Corrupt(msg.to_owned());
         if bytes.len() < 2 {
             return Err(corrupt("truncated arity"));
@@ -134,8 +144,10 @@ impl Tuple {
                 .ok_or_else(|| corrupt("truncated payload"))
         };
         let mut off = 2;
-        let mut values = Vec::with_capacity(arity);
-        for _ in 0..arity {
+        let values = &mut self.values;
+        values.truncate(arity);
+        values.reserve(arity - values.len());
+        for k in 0..arity {
             let tag = *bytes.get(off).ok_or_else(|| corrupt("truncated tag"))?;
             off += 1;
             let v = match tag {
@@ -158,11 +170,15 @@ impl Tuple {
                         .get(off..off + len)
                         .ok_or_else(|| corrupt("truncated text"))?;
                     off += len;
-                    Value::Text(
-                        std::str::from_utf8(raw)
-                            .map_err(|_| corrupt("invalid utf8"))?
-                            .to_owned(),
-                    )
+                    let text = std::str::from_utf8(raw).map_err(|_| corrupt("invalid utf8"))?;
+                    // Overwrite a text value left by the previous row in
+                    // place, keeping its allocation.
+                    if let Some(Value::Text(prev)) = values.get_mut(k) {
+                        prev.clear();
+                        prev.push_str(text);
+                        continue;
+                    }
+                    Value::Text(text.to_owned())
                 }
                 4 => {
                     let b = *bytes.get(off).ok_or_else(|| corrupt("truncated bool"))?;
@@ -185,9 +201,12 @@ impl Tuple {
                 }
                 t => return Err(StorageError::Corrupt(format!("unknown value tag {t}"))),
             };
-            values.push(v);
+            match values.get_mut(k) {
+                Some(slot) => *slot = v,
+                None => values.push(v),
+            }
         }
-        Ok((Tuple { values }, off))
+        Ok(off)
     }
 }
 
@@ -249,6 +268,24 @@ mod tests {
         assert_eq!(da, a);
         assert_eq!(db, b);
         assert_eq!(n + m, buf.len());
+    }
+
+    #[test]
+    fn decode_into_reuses_the_scratch_tuple() {
+        let mut buf = Vec::new();
+        sample().encode_into(&mut buf);
+        let short = Tuple::new(vec![Value::Int(7)]);
+        short.encode_into(&mut buf);
+        let mut scratch = Tuple::default();
+        let used = scratch.decode_into(&buf).unwrap();
+        assert_eq!(scratch, sample());
+        // A shorter row overwrites the longer one completely, and a
+        // longer one after it (text reused in place) decodes exactly.
+        scratch.decode_into(&buf[used..]).unwrap();
+        assert_eq!(scratch, short);
+        scratch.decode_into(&buf).unwrap();
+        scratch.decode_into(&buf).unwrap();
+        assert_eq!(scratch, sample());
     }
 
     #[test]

@@ -116,6 +116,48 @@ fn mem_budget_trips_on_sort_buffering() {
     }
 }
 
+/// A bounded top-k holds only `k` rows, so its memory charge is the
+/// high-water mark of those rows, not the size of its input: `ORDER BY
+/// … LIMIT 10` over a table far larger than the budget succeeds, while
+/// the same ORDER BY without the LIMIT (a full sort) still trips it.
+#[test]
+fn top_k_sort_memory_is_bounded_by_k_not_by_input() {
+    // 5,000 inserted rows pass the `storage::heap_append` site thousands
+    // of times; hold the gate so a concurrently armed fault test neither
+    // fires here nor loses its trigger to these inserts.
+    let _x = fault::exclusive();
+    let db = RecDb::new();
+    db.execute("CREATE TABLE t (a INT, b INT)").expect("create");
+    for chunk in 0..10 {
+        let rows: Vec<String> = (0..500)
+            .map(|j| {
+                let a = chunk * 500 + j;
+                format!("({a}, {})", (a * 7919) % 5000)
+            })
+            .collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
+            .expect("insert");
+    }
+    let budget = || QueryGuard::with_limits(None, None, Some(4096));
+    let top = db
+        .query_with_guard("SELECT a, b FROM t ORDER BY b DESC LIMIT 10", budget())
+        .expect("top-10 fits in 4 KiB");
+    let got: Vec<i64> = top
+        .rows()
+        .iter()
+        .map(|t| t.get(1).and_then(|v| v.as_int()).expect("b"))
+        .collect();
+    assert_eq!(got, (4990..5000).rev().collect::<Vec<i64>>());
+    match db.query_with_guard("SELECT a, b FROM t ORDER BY b DESC", budget()) {
+        Err(EngineError::ResourceExhausted {
+            resource: "memory",
+            budget: 4096,
+            ..
+        }) => {}
+        other => panic!("a full sort of 5,000 rows must trip 4 KiB, got {other:?}"),
+    }
+}
+
 /// Engine-wide defaults from `RecDbConfig.governor` apply to plain
 /// `query()` calls with no per-call guard.
 #[test]
